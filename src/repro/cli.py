@@ -51,12 +51,14 @@ from repro.api import (
 )
 from repro.bench import Table
 from repro.cliutil import add_format_argument, add_metrics_argument, emit
+from repro.core.exceptions import ReproError
 from repro.core.session import (
     CRYPTO_BACKENDS,
     ENGINE_BACKENDS,
     PROTOCOL_BACKENDS,
     RNG_MODES,
     TRANSPORT_BACKENDS,
+    check_protocol_backend,
 )
 from repro.data import (
     generate_adult_like,
@@ -477,6 +479,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ledger_path=args.ledger,
         privacy_budget=args.privacy_budget,
     )
+    try:
+        check_protocol_backend(config.protocol_backend, deployed.kind)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     if config.shards > 1:
         from repro.serving import ClassificationFleet
 

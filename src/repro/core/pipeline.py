@@ -32,7 +32,11 @@ from repro.crypto.modexp import MODEXP_BACKENDS as CRYPTO_BACKENDS
 from repro.classifiers.linear import LogisticRegressionClassifier
 from repro.classifiers.naive_bayes import NaiveBayesClassifier
 from repro.core.exceptions import ReproError
-from repro.core.session import PROTOCOL_BACKENDS, SessionConfig
+from repro.core.session import (
+    PROTOCOL_BACKENDS,
+    SessionConfig,
+    check_protocol_backend,
+)
 from repro.data.schema import Dataset
 from repro.privacy.adversary import NaiveBayesAdversary
 from repro.privacy.incremental import IncrementalRiskEvaluator
@@ -175,16 +179,9 @@ class PipelineConfig:
                 f"unknown protocol backend {self.protocol_backend!r}; "
                 f"expected one of {PROTOCOL_BACKENDS}"
             )
-        if (
-            self.effective_protocol_backend() != "paillier"
-            and self.classifier != "linear"
-        ):
-            raise ReproError(
-                f"protocol_backend "
-                f"{self.effective_protocol_backend()!r} supports "
-                f"classifier='linear' only; {self.classifier!r} runs on "
-                f"the Paillier protocol stack"
-            )
+        check_protocol_backend(
+            self.effective_protocol_backend(), self.classifier
+        )
 
     def effective_protocol_backend(self) -> str:
         """The protocol backend live sessions will actually use (the

@@ -42,6 +42,23 @@ RNG_MODES = ("deterministic", "system")
 DEFAULT_STATISTICAL_SECURITY_BITS = 40
 
 
+def check_protocol_backend(protocol_backend: str, classifier: str) -> None:
+    """Raise :class:`ReproError` unless ``protocol_backend`` can run a
+    ``classifier`` model.
+
+    The Paillier stack runs every model kind; the shares backend covers
+    linear models only. Pipelines and servers both call this at
+    construction, so a mismatch fails at startup rather than silently
+    serving the model over Paillier.
+    """
+    if protocol_backend != "paillier" and classifier != "linear":
+        raise ReproError(
+            f"protocol_backend {protocol_backend!r} supports "
+            f"classifier='linear' only; {classifier!r} runs on "
+            f"the Paillier protocol stack"
+        )
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything needed to stand up one client/server crypto session.

@@ -410,6 +410,14 @@ class PrivacyLedger:
                 )
             ]
 
+    def client_count(self) -> int:
+        """How many clients the ledger knows (``len(clients())``,
+        without building the list)."""
+        with self._lock:
+            return int(self._conn.execute(
+                "SELECT COUNT(*) FROM clients"
+            ).fetchone()[0])
+
     def top(self, limit: int = 10) -> List[ClientRecord]:
         """The ``limit`` clients with the highest cumulative spend."""
         with self._lock:

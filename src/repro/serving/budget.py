@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import repro.telemetry as telemetry
@@ -47,6 +46,7 @@ from repro.privacy.pricing import (
     risk_model_from_dict,
 )
 from repro.smc import wire
+from repro.smc.context import seeded_key_material
 
 #: Degradation-ladder rungs, in order: the full requested set fits the
 #: budget / a shrunk subset fits / nothing fits (pure-SMC fallback).
@@ -199,7 +199,7 @@ class BudgetEnforcer:
                     request_id=request_id,
                     mode=mode,
                 )
-                known_clients = len(self._ledger.clients())
+                known_clients = self._ledger.client_count()
             charge_span.set("client", identity)
             charge_span.set("mode", mode)
             charge_span.set("delta", plan.delta)
@@ -238,7 +238,6 @@ def identity_for_context(ctx) -> str:
     ))
 
 
-@lru_cache(maxsize=4096)
 def identity_for_seed(
     seed: int,
     paillier_bits: int,
@@ -248,22 +247,18 @@ def identity_for_seed(
     """The keyring fingerprint a deterministic client with ``seed``
     will present, without standing up a context.
 
-    Replicates :func:`repro.smc.context.make_context`'s key derivation
-    (one master stream seeds Paillier then DGK generation), so the
-    fleet frontend can attribute a request to a client *before* any
-    shard derives the session keys. Cached: the first request from a
-    new client pays one key generation, every later request is a dict
-    hit.
+    Reads the same memoized derivation :func:`make_context` uses
+    (:func:`repro.smc.context.seeded_key_material`), so the fleet
+    frontend can attribute a request to a client *before* any shard
+    derives the session keys, and a client's later requests -- or a
+    context already built for its seed in this process -- cost no key
+    generation. Equal to ``identity_for_context(make_context(seed=...))``
+    for the same key sizes.
     """
-    from repro.crypto.dgk import DgkKeyPair
-    from repro.crypto.paillier import PaillierKeyPair
-    from repro.crypto.rand import fresh_rng
-
-    master = fresh_rng(seed)
-    paillier = PaillierKeyPair.generate(key_bits=paillier_bits, rng=master)
-    dgk = DgkKeyPair.generate(
-        key_bits=dgk_bits, plaintext_bits=dgk_plaintext_bits, rng=master
+    keys = seeded_key_material(
+        int(seed), int(paillier_bits), int(dgk_bits), int(dgk_plaintext_bits)
     )
     return wire.keyring_fingerprint(wire.keyring_payload(
-        paillier=paillier.public_key, dgk=dgk.public_key
+        paillier=keys.paillier_keypair().public_key,
+        dgk=keys.dgk_keypair().public_key,
     ))

@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional
 
 import repro.telemetry as telemetry
 from repro.core.exceptions import ReproError
-from repro.core.session import SessionConfig
+from repro.core.session import SessionConfig, check_protocol_backend
 from repro.crypto.rand import secure_rng
 from repro.privacy.risk import RiskError
 from repro.serving.budget import BudgetEnforcer, identity_for_seed
@@ -176,6 +176,7 @@ class ClassificationFleet:
         from repro.core.serialization import deployed_to_dict
 
         self.config = config if config is not None else SessionConfig()
+        check_protocol_backend(self.config.protocol_backend, deployed.kind)
         self.num_shards = int(shards or self.config.shards)
         if self.num_shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
@@ -438,9 +439,11 @@ class ClassificationFleet:
         """Charge one request's disclosure and rewrite its frame.
 
         Decodes the ``KIND_REQUEST`` payload, attributes it to a client
-        (the keyring fingerprint its seed deterministically implies --
-        cached, so only a client's *first* request pays a key
-        derivation), admits the requested disclosure set against the
+        (the keyring fingerprint its seed deterministically implies,
+        read from the memoized derivation
+        :func:`repro.smc.context.seeded_key_material` -- only the
+        first request of a seed this process has not seen recently pays
+        a key derivation), admits the requested disclosure set against the
         shared ledger, and re-encodes the frame with the granted set.
         Shards then serve exactly what the budget allows without ever
         seeing the ledger.

@@ -47,7 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import repro.telemetry as telemetry
-from repro.core.session import SessionConfig
+from repro.core.session import SessionConfig, check_protocol_backend
 from repro.crypto.engine import make_engine
 from repro.crypto.rand import secure_rng
 from repro.secure.backends import make_protocol_backend
@@ -76,7 +76,9 @@ class ClassificationServer:
         (one engine is built up front and shared by all request
         contexts), ``protocol_backend`` (likewise built once, so a
         ``"shares"`` server shares one offline triple store across
-        requests), ``ledger_path`` / ``privacy_budget`` (per-client
+        requests; a backend that cannot run the bundle's model kind
+        raises :class:`~repro.core.exceptions.ReproError` here),
+        ``ledger_path`` / ``privacy_budget`` (per-client
         cumulative privacy-budget enforcement; see
         :mod:`repro.serving.budget` and ``docs/PRIVACY.md``) and the
         transport timeout fields.
@@ -119,6 +121,7 @@ class ClassificationServer:
         self.deployed = deployed
         self.listener = listener
         self.config = config if config is not None else SessionConfig()
+        check_protocol_backend(self.config.protocol_backend, deployed.kind)
         self.max_connections = max_connections
         self.shard_name = str(shard_name)
         self._id_prefix = f"{self.shard_name}-" if self.shard_name else ""

@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence
 
 import repro.telemetry as telemetry
 from repro.core.session import SessionConfig
-from repro.crypto.dgk import DgkKeyPair
+from repro.crypto.dgk import DgkKeyPair, DgkPrivateKey, DgkPublicKey
 from repro.crypto.engine import CryptoEngine, make_engine
-from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
+from repro.crypto.paillier import (
+    PaillierCiphertext,
+    PaillierKeyPair,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+)
 from repro.crypto.rand import DeterministicRandom, fresh_rng, secure_rng
 from repro.smc.network import Channel
 from repro.smc.protocol import ExecutionTrace, Op
@@ -172,6 +178,120 @@ class TwoPartyContext:
         )
 
 
+#: Entries kept by :func:`seeded_key_material`, one per recent
+#: ``(seed, key sizes)``; an entry is about 1.2 KB.
+KEY_CACHE_SIZE = 4096
+
+
+class KeyMaterial(NamedTuple):
+    """A session's key material and stream seeds, as plain integers.
+
+    The output of one key derivation: the client's Paillier and DGK
+    keys, and the seeds of the client and server randomness streams
+    (``None`` for OS-entropy streams). It holds no object with mutable
+    state, so one cached value can back many concurrent sessions: each
+    :meth:`paillier_keypair` / :meth:`dgk_keypair` / :meth:`rng` call
+    builds fresh objects, whose lazily built tables are never shared.
+    """
+
+    paillier_n: int
+    paillier_p: int
+    paillier_q: int
+    paillier_lam: int
+    paillier_mu: int
+    dgk_n: int
+    dgk_g: int
+    dgk_h: int
+    dgk_u: int
+    dgk_p: int
+    dgk_q: int
+    dgk_v_p: int
+    dgk_v_q: int
+    client_seed: Optional[int]
+    server_seed: Optional[int]
+
+    @classmethod
+    def derive(
+        cls,
+        master: DeterministicRandom,
+        paillier_bits: int,
+        dgk_bits: int,
+        dgk_plaintext_bits: int,
+    ) -> "KeyMaterial":
+        """Generate Paillier then DGK keys from ``master``, then fork the
+        client and server streams from it, in that order."""
+        paillier = PaillierKeyPair.generate(key_bits=paillier_bits, rng=master)
+        dgk = DgkKeyPair.generate(
+            key_bits=dgk_bits, plaintext_bits=dgk_plaintext_bits, rng=master
+        )
+        private, dgk_private = paillier.private_key, dgk.private_key
+        return cls(
+            paillier_n=paillier.public_key.n,
+            paillier_p=private.p,
+            paillier_q=private.q,
+            paillier_lam=private.lam,
+            paillier_mu=private.mu,
+            dgk_n=dgk.public_key.n,
+            dgk_g=dgk.public_key.g,
+            dgk_h=dgk.public_key.h,
+            dgk_u=dgk.public_key.u,
+            dgk_p=dgk_private.p,
+            dgk_q=dgk_private.q,
+            dgk_v_p=dgk_private.v_p,
+            dgk_v_q=dgk_private.v_q,
+            client_seed=master.fork().seed,
+            server_seed=master.fork().seed,
+        )
+
+    def paillier_keypair(self) -> PaillierKeyPair:
+        """A fresh Paillier key pair object for these keys."""
+        public = PaillierPublicKey(n=self.paillier_n)
+        return PaillierKeyPair(
+            public_key=public,
+            private_key=PaillierPrivateKey(
+                public_key=public, lam=self.paillier_lam, mu=self.paillier_mu,
+                p=self.paillier_p, q=self.paillier_q,
+            ),
+        )
+
+    def dgk_keypair(self) -> DgkKeyPair:
+        """A fresh DGK key pair object for these keys."""
+        public = DgkPublicKey(
+            n=self.dgk_n, g=self.dgk_g, h=self.dgk_h, u=self.dgk_u
+        )
+        return DgkKeyPair(
+            public_key=public,
+            private_key=DgkPrivateKey(
+                public_key=public, p=self.dgk_p, q=self.dgk_q,
+                v_p=self.dgk_v_p, v_q=self.dgk_v_q,
+            ),
+        )
+
+    @staticmethod
+    def rng(seed: Optional[int]) -> DeterministicRandom:
+        """A fresh stream for ``client_seed`` or ``server_seed``."""
+        return secure_rng() if seed is None else fresh_rng(seed)
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
+def seeded_key_material(
+    seed: int, paillier_bits: int, dgk_bits: int, dgk_plaintext_bits: int
+) -> KeyMaterial:
+    """The key material a deterministic session with ``seed`` derives.
+
+    The one definition of seed -> keys: :func:`make_context` and the
+    serving budget's client identity
+    (:func:`repro.serving.budget.identity_for_seed`) both read it.
+    Memoized on its four arguments (pass them positionally, as ints),
+    so a repeated client seed costs a dict lookup instead of two prime
+    searches. ``seeded_key_material.__wrapped__`` is the uncached
+    derivation.
+    """
+    return KeyMaterial.derive(
+        fresh_rng(seed), paillier_bits, dgk_bits, dgk_plaintext_bits
+    )
+
+
 #: One-time flag for the legacy-kwargs deprecation warning, so a script
 #: that calls :func:`make_context` in a loop is not drowned in noise.
 _legacy_kwargs_warned = False
@@ -189,7 +309,7 @@ def make_context(
     config: Optional[SessionConfig] = None,
     protocol_backend=None,
 ) -> TwoPartyContext:
-    """Build a ready-to-use session context with freshly generated keys.
+    """Build a ready-to-use session context with its own key objects.
 
     The preferred interface is ``make_context(config=SessionConfig(...))``
     (optionally with ``seed=``, ``channel=``, a prebuilt ``engine=`` or
@@ -203,9 +323,13 @@ def make_context(
 
     Under ``rng_mode="deterministic"`` the single seed derives the key
     material and both parties' randomness streams, so a whole protocol
-    transcript is reproducible from one integer; ``rng_mode="system"``
-    draws everything from OS entropy instead. The engine backend only
-    changes *how* batch work executes, never the transcript:
+    transcript is reproducible from one integer. That derivation is
+    :func:`seeded_key_material`, memoized for the last
+    :data:`KEY_CACHE_SIZE` seeds, so a repeated seed skips key
+    generation; every call still gets fresh key and stream objects.
+    ``rng_mode="system"`` draws everything from OS entropy instead and
+    is never cached. The engine backend only changes *how* batch work
+    executes, never the transcript:
     ``engine_backend="parallel"`` produces the same ciphertexts and
     trace as the serial default.
 
@@ -247,32 +371,30 @@ def make_context(
         cfg = cfg.with_overrides(seed=seed)
     if cfg.telemetry and not telemetry.enabled():
         telemetry.configure(True)
-    if cfg.rng_mode == "system":
-        master = secure_rng()
-    else:
-        master = fresh_rng(cfg.seed)
     with telemetry.span(
         "session.keygen",
         paillier_bits=cfg.paillier_bits,
         dgk_bits=cfg.dgk_bits,
     ):
-        paillier = PaillierKeyPair.generate(
-            key_bits=cfg.paillier_bits, rng=master
-        )
-        dgk = DgkKeyPair.generate(
-            key_bits=cfg.dgk_bits,
-            plaintext_bits=cfg.dgk_plaintext_bits,
-            rng=master,
-        )
+        if cfg.rng_mode == "system":
+            keys = KeyMaterial.derive(
+                secure_rng(), cfg.paillier_bits, cfg.dgk_bits,
+                cfg.dgk_plaintext_bits,
+            )
+        else:
+            keys = seeded_key_material(
+                int(cfg.seed), int(cfg.paillier_bits), int(cfg.dgk_bits),
+                int(cfg.dgk_plaintext_bits),
+            )
     # Imported here: repro.secure imports this module at import time.
     from repro.secure.backends import make_protocol_backend
 
     return TwoPartyContext(
         channel=channel or Channel(),
-        paillier=paillier,
-        dgk=dgk,
-        client_rng=master.fork(),
-        server_rng=master.fork(),
+        paillier=keys.paillier_keypair(),
+        dgk=keys.dgk_keypair(),
+        client_rng=KeyMaterial.rng(keys.client_seed),
+        server_rng=KeyMaterial.rng(keys.server_seed),
         statistical_security_bits=cfg.statistical_security_bits,
         engine=engine
         or make_engine(cfg.engine_backend, workers=cfg.engine_workers,

@@ -101,6 +101,19 @@ ELEMENT_OVERHEAD = 5
 #: ``kind`` byte + u32 body length, paid once per transport frame.
 FRAME_OVERHEAD = 5
 
+#: Deepest container nesting :meth:`WireCodec.decode` accepts. Protocol
+#: messages nest a few levels; a hostile body of thousands of nested
+#: lists would otherwise exhaust the interpreter's recursion limit.
+MAX_NESTING_DEPTH = 64
+
+#: Largest frame body :func:`recv_frame` reads (64 MiB). The length
+#: prefix comes from an unauthenticated peer, so it is checked before
+#: any body byte is read. Protocol frames are far smaller (the largest
+#: in the test suite and the served benchmark is about 3 KB at 384-bit
+#: keys); the headroom is for ``KIND_HEALTH`` telemetry snapshots, which
+#: grow by about 0.7 KB per recorded request.
+MAX_FRAME_BYTES = 64 << 20
+
 KIND_MSG = 0x01        # a protocol message (mirror/forward me)
 KIND_KEYS = 0x02       # session keyring (public keys for the codec)
 KIND_REQUEST = 0x03    # classification request (row, disclosure, seed)
@@ -372,14 +385,20 @@ class WireCodec:
 
     def decode(self, data: bytes) -> Any:
         """Decode one payload; rejects trailing garbage."""
-        value, offset = self._decode(memoryview(data), 0)
+        value, offset = self._decode(memoryview(data), 0, 0)
         if offset != len(data):
             raise WireError(
                 f"{len(data) - offset} trailing bytes after decoded payload"
             )
         return value
 
-    def _decode(self, view: memoryview, offset: int) -> Tuple[Any, int]:
+    def _decode(
+        self, view: memoryview, offset: int, depth: int
+    ) -> Tuple[Any, int]:
+        if depth > MAX_NESTING_DEPTH:
+            raise WireError(
+                f"payload nests deeper than {MAX_NESTING_DEPTH} levels"
+            )
         if offset >= len(view):
             raise WireError("truncated payload: missing type tag")
         tag = view[offset]
@@ -427,7 +446,7 @@ class WireCodec:
                 )
             shares = []
             for _ in range(3):
-                item, offset = self._decode(view, offset)
+                item, offset = self._decode(view, offset, depth + 1)
                 if not isinstance(item, AdditiveShare):
                     raise WireError(
                         f"Beaver triple element decoded as "
@@ -440,7 +459,7 @@ class WireCodec:
             offset += 4
             items = []
             for _ in range(count):
-                item, offset = self._decode(view, offset)
+                item, offset = self._decode(view, offset, depth + 1)
                 items.append(item)
             return (items if tag == TAG_LIST else tuple(items)), offset
         if tag == TAG_DICT:
@@ -448,8 +467,8 @@ class WireCodec:
             offset += 4
             result = {}
             for _ in range(count):
-                key, offset = self._decode(view, offset)
-                value, offset = self._decode(view, offset)
+                key, offset = self._decode(view, offset, depth + 1)
+                value, offset = self._decode(view, offset, depth + 1)
                 result[key] = value
             return result, offset
         raise WireError(f"unknown type tag 0x{tag:02X}")
@@ -642,5 +661,10 @@ def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
     header = recv_exact(sock, FRAME_OVERHEAD)
     kind = header[0]
     length = _U32.unpack(header[1:5])[0]
+    if length > MAX_FRAME_BYTES:
+        raise WireError(
+            f"frame body of {length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
     body = recv_exact(sock, length) if length else b""
     return kind, body

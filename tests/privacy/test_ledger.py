@@ -62,6 +62,16 @@ class TestBasics:
             assert record.spent == 0.1
             assert record.disclosed == (3,)
 
+    def test_client_count_tracks_clients(self, ledger_path):
+        with PrivacyLedger(ledger_path) as ledger:
+            assert ledger.client_count() == 0
+            for client in ("pk-a", "pk-b", "pk-a", "pk-c"):
+                ledger.ensure_client(client)
+                assert ledger.client_count() == len(ledger.clients())
+            assert ledger.client_count() == 3
+            ledger.reset("pk-b")
+            assert ledger.client_count() == 2
+
 
 class TestCharging:
     def test_charge_accumulates_and_persists(self, ledger_path):

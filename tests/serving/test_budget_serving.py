@@ -108,6 +108,29 @@ class TestIdentity:
         )
 
 
+class TestEnforcerTelemetry:
+    def test_clients_gauge_counts_known_identities(self, deployed, tmp_path):
+        import repro.telemetry as telemetry
+
+        enforcer = BudgetEnforcer(
+            deployed.risk_model, str(tmp_path / "gauge.db"),
+            default_budget=1.0,
+        )
+        telemetry.configure(True, reset=True)
+        try:
+            for i, identity in enumerate(
+                ["pk-a", "pk-b", "pk-a", "pk-c", "pk-b", "pk-d"]
+            ):
+                enforcer.admit(identity, [0], f"req-{i}")
+                assert telemetry.snapshot()["gauges"]["budget.clients"] == (
+                    len(enforcer.ledger.clients())
+                )
+            assert len(enforcer.ledger.clients()) == 4
+        finally:
+            telemetry.configure(False, reset=True)
+            enforcer.close()
+
+
 class TestServerEnforcement:
     def test_depletion_degrades_and_never_exceeds_budget(
         self, deployed, row, tmp_path

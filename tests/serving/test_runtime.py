@@ -151,6 +151,56 @@ def test_malformed_request_gets_bad_request_error(deployed):
         stop_server(server, thread)
 
 
+def _raw_exchange(port, frame):
+    """Send raw bytes as a request; the reply frame, or ``None`` if the
+    server closed the connection without one."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+        s.sendall(frame)
+        try:
+            return wire.recv_frame(s)
+        except wire.WireError:
+            return None
+
+
+def test_deeply_nested_request_gets_bad_request_error(deployed, rows):
+    """A 25 KB body of 5000 nested lists is answered with a bad-request
+    ERROR frame (it used to kill the handler with RecursionError and
+    drop the connection), and the server keeps serving."""
+    body = b"\x07\x00\x00\x00\x01" * 5000 + b"\x07\x00\x00\x00\x00"
+    server, thread, port = start_server(deployed)
+    try:
+        kind, reply = _raw_exchange(
+            port, wire.pack_frame(wire.KIND_REQUEST, body)
+        )
+        assert kind == wire.KIND_ERROR
+        report = wire.WireCodec().decode(reply)
+        assert report["code"] == "bad-request"
+        assert "nests deeper" in report["message"]
+
+        result = request_classification(
+            "127.0.0.1", port, rows[0], seed=_BASE_SEED
+        )
+        assert result.label == replay_label(deployed, rows[0], _BASE_SEED)[0]
+    finally:
+        stop_server(server, thread)
+
+
+def test_oversized_frame_header_is_refused(deployed, rows):
+    """A header claiming a 1 GiB body (and sending none) is refused
+    without waiting for the body; the server keeps serving."""
+    server, thread, port = start_server(deployed)
+    try:
+        header = bytes((wire.KIND_REQUEST,)) + (1 << 30).to_bytes(4, "big")
+        reply = _raw_exchange(port, header)
+        assert reply is None or reply[0] == wire.KIND_ERROR
+        result = request_classification(
+            "127.0.0.1", port, rows[0], seed=_BASE_SEED
+        )
+        assert result.label == replay_label(deployed, rows[0], _BASE_SEED)[0]
+    finally:
+        stop_server(server, thread)
+
+
 def test_overload_sheds_with_overloaded_error(deployed, rows):
     """With one worker and no queue, a second concurrent request is
     answered with an 'overloaded' error instead of waiting."""

@@ -1,5 +1,7 @@
 """Tests for the canonical wire codec."""
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,26 @@ class TestErrors:
         with pytest.raises(WireError):
             WireCodec().decode(wire.encode(ct))
 
+    def test_deep_nesting_is_a_wire_error(self):
+        # 5000 one-element lists around an empty one: without a depth
+        # bound this exhausted the recursion limit (RecursionError).
+        body = b"\x07\x00\x00\x00\x01" * 5000 + b"\x07\x00\x00\x00\x00"
+        with pytest.raises(WireError, match="nests deeper"):
+            WireCodec().decode(body)
+
+    @pytest.mark.parametrize("wrap", [
+        lambda inner: [inner],
+        lambda inner: (inner,),
+        lambda inner: {"k": inner},
+    ])
+    def test_nesting_limit_is_exact(self, wrap):
+        payload = None
+        for _ in range(wire.MAX_NESTING_DEPTH):
+            payload = wrap(payload)
+        assert WireCodec().decode(wire.encode(payload)) == payload
+        with pytest.raises(WireError):
+            WireCodec().decode(wire.encode(wrap(payload)))
+
 
 class TestKeyring:
     def test_roundtrip(self, paillier, dgk):
@@ -158,7 +180,31 @@ class TestKeyring:
             wire.codec_from_keyring({"wire_version": 999})
 
 
+def _frame_header(kind, length):
+    return bytes((kind,)) + length.to_bytes(4, "big")
+
+
 class TestFraming:
+    def test_oversized_length_rejected_before_reading_body(self):
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            receiver.settimeout(5)
+            sender.sendall(_frame_header(wire.KIND_REQUEST, 1 << 30))
+            with pytest.raises(WireError, match="exceeds"):
+                wire.recv_frame(receiver)
+
+    def test_length_at_cap_is_read(self):
+        sender, receiver = socket.socketpair()
+        with receiver:
+            receiver.settimeout(5)
+            with sender:
+                sender.sendall(
+                    _frame_header(wire.KIND_MSG, wire.MAX_FRAME_BYTES) + b"x"
+                )
+            # Accepted: the reader goes on to the body and hits EOF.
+            with pytest.raises(WireError, match="connection closed"):
+                wire.recv_frame(receiver)
+
     def test_frame_layout(self):
         body = wire.encode([1, 2])
         frame = wire.pack_frame(wire.KIND_MSG, body)
