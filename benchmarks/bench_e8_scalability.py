@@ -5,9 +5,12 @@ feature count grows (random Bayesian-network cohorts, naive-Bayes
 classifier cost). Greedy stays fast at d = 64 while exact search grows
 quickly; lazy evaluation saves a large fraction of risk evaluations.
 
-The benchmarked kernel is lazy greedy at d = 48.
+The benchmarked kernel is lazy greedy at d = 48. Every solver, and
+every kernel round, starts from a cold evaluation cache; one extra line
+times a seven-budget sweep on one fit with the cache kept warm.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -17,10 +20,11 @@ from repro.api import PipelineConfig, PrivacyAwareClassifier
 from repro.bench import Table
 from repro.selection import solve_branch_and_bound, solve_greedy
 
-from conftest import bench_config
+from conftest import bench_cold, bench_config
 
 DIMENSIONS = (8, 16, 32, 48, 64)
 BUDGET = 0.15
+SWEEP_BUDGETS = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
 
 
 def _pipeline_for(d: int) -> PrivacyAwareClassifier:
@@ -45,6 +49,7 @@ def test_e8_solver_scalability(benchmark):
     for d in DIMENSIONS:
         pipeline = _pipeline_for(d)
 
+        pipeline.clear_evaluation_cache()
         problem = pipeline.build_problem(BUDGET)
         problem.reset_counters()
         start = time.perf_counter()
@@ -53,6 +58,7 @@ def test_e8_solver_scalability(benchmark):
         lazy_evals = problem.evaluation_counts["risk"]
         lazy_times[d] = lazy_ms
 
+        pipeline.clear_evaluation_cache()
         problem = pipeline.build_problem(BUDGET)
         problem.reset_counters()
         start = time.perf_counter()
@@ -61,6 +67,7 @@ def test_e8_solver_scalability(benchmark):
         eager_evals = problem.evaluation_counts["risk"]
 
         if d <= 16:
+            pipeline.clear_evaluation_cache()
             problem = pipeline.build_problem(BUDGET)
             start = time.perf_counter()
             bnb = solve_branch_and_bound(problem, max_nodes=50_000)
@@ -82,5 +89,31 @@ def test_e8_solver_scalability(benchmark):
     # Greedy scales to d=64 in interactive time.
     assert lazy_times[64] < 10_000
 
+    # A trade-off sweep on one fit: cold clears the cache before every
+    # budget, warm keeps what earlier budgets priced. Same selections.
+    pipeline = _pipeline_for(64)
+    sweeps = {}
+    for mode in ("cold", "warm"):
+        pipeline.clear_evaluation_cache()
+        times, chosen = [], []
+        for budget in SWEEP_BUDGETS:
+            if mode == "cold":
+                pipeline.clear_evaluation_cache()
+            start = time.perf_counter()
+            chosen.append(pipeline.select_disclosure(budget).disclosed)
+            times.append((time.perf_counter() - start) * 1e3)
+        sweeps[mode] = (times, chosen)
+    assert sweeps["cold"][1] == sweeps["warm"][1]
+    cold, warm = sweeps["cold"][0], sweeps["warm"][0]
+    print(
+        f"E8 warm sweep (d=64, {len(SWEEP_BUDGETS)} budgets, one fit): "
+        f"{sum(warm):.1f} ms total, later budgets median "
+        f"{statistics.median(warm[1:]):.2f} ms; cold {sum(cold):.1f} ms "
+        f"total, median {statistics.median(cold[1:]):.2f} ms"
+    )
+
     pipeline = _pipeline_for(48)
-    benchmark(lambda: solve_greedy(pipeline.build_problem(BUDGET)))
+    bench_cold(
+        benchmark, pipeline,
+        lambda: solve_greedy(pipeline.build_problem(BUDGET)),
+    )

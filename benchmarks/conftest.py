@@ -19,6 +19,8 @@ from repro.data import (
 
 BENCH_PAILLIER_BITS = 384
 BENCH_DGK_BITS = 192
+#: Rounds of a cold-cache kernel (each round pays its own evaluations).
+COLD_ROUNDS = 5
 
 
 def bench_config(kind: str, **overrides) -> PipelineConfig:
@@ -34,6 +36,15 @@ def bench_config(kind: str, **overrides) -> PipelineConfig:
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+def bench_cold(benchmark, pipeline, kernel, rounds: int = COLD_ROUNDS):
+    """Benchmark ``kernel()`` with ``pipeline``'s disclosure-set
+    evaluation cache emptied before every round, so each round pays for
+    its own risk and cost evaluations instead of timing cache hits."""
+    return benchmark.pedantic(
+        kernel, setup=pipeline.clear_evaluation_cache, rounds=rounds
+    )
 
 
 @pytest.fixture(scope="session")

@@ -83,6 +83,9 @@ class IncrementalRiskEvaluator:
             self._log_beliefs[t] = beliefs
             self._baselines[t] = self._score(t, beliefs)
         self._stack: List[int] = []
+        # Read-only (sensitive, feature) deltas, filled on first use by
+        # push/pop/peek; at most |sensitive| * d arrays of (m, dom_t).
+        self._deltas: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -- stack interface ---------------------------------------------------
 
@@ -138,7 +141,8 @@ class IncrementalRiskEvaluator:
     def risk_of_set(self, disclosure_set: Iterable[int]) -> float:
         """From-scratch risk of an arbitrary set (naive baseline; used
         by E7 to measure the incremental speedup and by tests to verify
-        exactness)."""
+        exactness). Recomputes every delta: it never reads the cache
+        push/pop/peek fill."""
         columns = sorted(set(disclosure_set))
         losses = []
         for t in self.sensitive_columns:
@@ -146,7 +150,7 @@ class IncrementalRiskEvaluator:
             log_beliefs = np.tile(np.log(prior), (len(self.rows), 1))
             for feature in columns:
                 self._validate_feature(feature)
-                log_beliefs += self._delta(t, feature)
+                log_beliefs += self._computed_delta(t, feature)
             losses.append(self._normalised(t, log_beliefs))
         return float(np.mean(losses))
 
@@ -184,6 +188,16 @@ class IncrementalRiskEvaluator:
         return np.log(table[:, self.rows[:, feature]]).T
 
     def _delta(self, sensitive: int, feature: int) -> np.ndarray:
+        """:meth:`_computed_delta`, computed once and kept read-only."""
+        key = (sensitive, feature)
+        delta = self._deltas.get(key)
+        if delta is None:
+            delta = self._computed_delta(sensitive, feature)
+            delta.flags.writeable = False
+            self._deltas[key] = delta
+        return delta
+
+    def _computed_delta(self, sensitive: int, feature: int) -> np.ndarray:
         """Marginal contribution of disclosing ``feature`` now.
 
         Background columns contribute nothing (the adversary already
