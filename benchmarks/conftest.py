@@ -38,12 +38,12 @@ def bench_config(kind: str, **overrides) -> PipelineConfig:
     return PipelineConfig(**defaults)
 
 
-def bench_cold(benchmark, pipeline, kernel, rounds: int = COLD_ROUNDS):
+def bench_cold(benchmark, pipeline, kernel):
     """Benchmark ``kernel()`` with ``pipeline``'s disclosure-set
     evaluation cache emptied before every round, so each round pays for
     its own risk and cost evaluations instead of timing cache hits."""
     return benchmark.pedantic(
-        kernel, setup=pipeline.clear_evaluation_cache, rounds=rounds
+        kernel, setup=pipeline.clear_evaluation_cache, rounds=COLD_ROUNDS
     )
 
 

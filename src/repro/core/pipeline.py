@@ -20,8 +20,9 @@ encryption using the Bost-style protocols in :mod:`repro.secure`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -65,12 +66,29 @@ SOLVERS: Dict[str, Callable[[DisclosureProblem], DisclosureSolution]] = {
     "exhaustive": solve_exhaustive,
     "annealing": solve_annealing,
 }
-#: Most disclosure sets a fitted pipeline remembers the risk and modeled
-#: cost of (least recently used evicted first). A seven-budget greedy
-#: sweep at d = 64 touches a few hundred distinct sets, so every budget
-#: after the first reads the sets the earlier ones priced; an entry is
-#: an int key and two floats, about 0.24 KB (1 MB when full).
+#: Most disclosure sets a fitted pipeline remembers the risk, and the
+#: modeled cost, of (least recently used evicted first). A seven-budget
+#: greedy sweep at d = 64 touches a few hundred distinct sets, so every
+#: budget after the first reads the sets the earlier ones priced.
 EVALUATION_CACHE_SIZE = 4096
+
+
+def _bitmask(columns: Iterable[int]) -> int:
+    """``sum(1 << f for f in columns)``: a set's order-free int key."""
+    key = 0
+    for column in columns:
+        key |= 1 << int(column)
+    return key
+
+
+def _members(key: int) -> List[int]:
+    """The ascending columns of a :func:`_bitmask` key.
+
+    A list, not a tuple: freed small tuples stay on CPython's per-length
+    free lists until a full collection, and with one built per miss they
+    raised the peak RSS of a run of sweeps by about 0.8 MB.
+    """
+    return [f for f in range(key.bit_length()) if key >> f & 1]
 
 
 @dataclass(frozen=True)
@@ -250,8 +268,17 @@ class PrivacyAwareClassifier:
         self._solution: Optional[DisclosureSolution] = None
         self._context: Optional[TwoPartyContext] = None
         self._protocol_backend = None
-        self._evaluations: "OrderedDict[int, List[Optional[float]]]" = (
-            OrderedDict()
+        # Set risk and modeled cost memos, keyed by the set's bitmask
+        # (free features included). They fill separately on first
+        # request, so a set whose risk rules it out is never costed.
+        # They reach the pipeline through a weak reference: a strong one
+        # would make a cycle, and a dropped pipeline would then wait for
+        # the cycle collector instead of being freed at once.
+        this = weakref.ref(self)
+        memo = lru_cache(maxsize=EVALUATION_CACHE_SIZE)
+        self._risk_memo = memo(lambda key: this()._risk_function(_members(key)))
+        self._cost_memo = memo(
+            lambda key: this().estimated_cost_seconds(_members(key))
         )
 
     # -- training --------------------------------------------------------
@@ -412,40 +439,14 @@ class PrivacyAwareClassifier:
         that invalidates them; it calls this. Benchmarks call it to time
         a solver from a cold cache.
         """
-        self._evaluations.clear()
+        self._risk_memo.cache_clear()
+        self._cost_memo.cache_clear()
 
     def _cached_risk(self, disclosure_set: Iterable[int]) -> float:
-        return self._cached(disclosure_set, 0, self._risk_function)
+        return self._risk_memo(_bitmask(disclosure_set))
 
     def _cached_cost(self, disclosure_set: Iterable[int]) -> float:
-        return self._cached(disclosure_set, 1, self.estimated_cost_seconds)
-
-    def _cached(
-        self,
-        disclosure_set: Iterable[int],
-        slot: int,
-        evaluate: Callable[[Tuple[int, ...]], float],
-    ) -> float:
-        """Value ``slot`` (0 risk, 1 cost) of a set, evaluated at most
-        once per fit. The key is the set's bitmask, free features
-        included; each slot is filled only when first asked for, so a
-        set whose risk rules it out is never costed."""
-        columns = tuple(disclosure_set)
-        key = 0
-        for column in columns:
-            key |= 1 << int(column)
-        entry = self._evaluations.get(key)
-        if entry is not None:
-            self._evaluations.move_to_end(key)
-            if entry[slot] is not None:
-                return entry[slot]
-        value = evaluate(columns)
-        if entry is None:
-            entry = self._evaluations[key] = [None, None]
-            if len(self._evaluations) > EVALUATION_CACHE_SIZE:
-                self._evaluations.popitem(last=False)
-        entry[slot] = value
-        return value
+        return self._cost_memo(_bitmask(disclosure_set))
 
     # -- classification -------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Tests for the fitted pipeline's disclosure-set evaluation cache and
 the incremental evaluator's per-feature delta cache."""
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -121,38 +123,48 @@ class TestBound:
     def test_never_grows_past_bound(self, d32, monkeypatch):
         monkeypatch.setattr(pipeline_module, "EVALUATION_CACHE_SIZE", 8)
         pipeline = _fit("linear", d32)
-        evaluations = pipeline._evaluations
-        peak = 0
-        cached = pipeline._cached
-
-        def watched(*args):
-            nonlocal peak
-            value = cached(*args)
-            peak = max(peak, len(evaluations))
-            return value
-
-        monkeypatch.setattr(pipeline, "_cached", watched)
+        memos = (pipeline._risk_memo, pipeline._cost_memo)
         for budget in BUDGETS:
             solution = pipeline.select_disclosure(budget)
             reference = solve_greedy(_uncached_problem(pipeline, budget))
             assert solution.disclosed == reference.disclosed
             assert solution.cost == reference.cost
-        assert peak == 8
+            for memo in memos:
+                info = memo.cache_info()
+                assert info.maxsize == 8
+                assert info.currsize <= 8
+        assert all(memo.cache_info().currsize == 8 for memo in memos)
 
     def test_keys_are_int_bitmasks(self, d32):
         pipeline = _fit("naive_bayes", d32)
         pipeline.select_disclosure(0.1)
         disclosed = pipeline.solution.disclosed
         key = sum(1 << f for f in disclosed)
-        assert all(type(k) is int for k in pipeline._evaluations)
-        assert key in pipeline._evaluations
+        assert pipeline_module._bitmask(reversed(disclosed)) == key
+        assert pipeline_module._members(key) == sorted(disclosed)
+        hits = pipeline._risk_memo.cache_info().hits
+        assert pipeline._risk_memo(key) == pipeline.solution.risk
+        assert pipeline._risk_memo.cache_info().hits == hits + 1
 
     def test_clear(self, d32):
         pipeline = _fit("naive_bayes", d32)
         pipeline.select_disclosure(0.1)
-        assert pipeline._evaluations
+        assert pipeline._risk_memo.cache_info().currsize
+        assert pipeline._cost_memo.cache_info().currsize
         pipeline.clear_evaluation_cache()
-        assert not pipeline._evaluations
+        assert pipeline._risk_memo.cache_info().currsize == 0
+        assert pipeline._cost_memo.cache_info().currsize == 0
+
+    def test_dropped_pipeline_is_freed_without_the_cycle_collector(self, d32):
+        pipeline = _fit("naive_bayes", d32)
+        pipeline.select_disclosure(0.1)
+        alive = weakref.ref(pipeline)
+        gc.disable()
+        try:
+            del pipeline
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestDeltaCache:
